@@ -6,6 +6,9 @@ package rlcint
 import (
 	"strings"
 	"testing"
+
+	"rlcint/internal/core"
+	"rlcint/internal/diag"
 )
 
 // BenchmarkPlanLine measures a full integer-stage repeater plan.
@@ -16,6 +19,10 @@ func BenchmarkPlanLine(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportWork(b, func(inj *diag.Injector) error {
+		_, err := core.PlanLine(benchProblem(Tech100(), 2*NHPerMM, 0.5, inj), 45*MM)
+		return err
+	})
 }
 
 // BenchmarkDelayRamp measures the finite-rise-time delay solve.

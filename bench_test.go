@@ -8,11 +8,52 @@ package rlcint
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
+	"rlcint/internal/core"
+	"rlcint/internal/diag"
 	"rlcint/internal/num"
 	"rlcint/internal/pade"
 )
+
+// workCounter is a count-only diag.Injector: it counts the optimizer's
+// delay solves (core.eval), Newton steps (core.jacobian, one per step) and
+// Nelder–Mead runs (core.nelder-mead), and never injects.
+type workCounter struct{ evals, newton, nm atomic.Int64 }
+
+func (c *workCounter) injector() *diag.Injector {
+	return &diag.Injector{Fault: func(s diag.Site) error {
+		switch s.Op {
+		case "core.eval":
+			c.evals.Add(1)
+		case "core.jacobian":
+			c.newton.Add(1)
+		case "core.nelder-mead":
+			c.nm.Add(1)
+		}
+		return nil
+	}}
+}
+
+// reportWork runs one more op, outside the timed loop, under a count-only
+// injector and reports its work as deterministic per-op metrics.
+func reportWork(b *testing.B, op func(inj *diag.Injector) error) {
+	b.Helper()
+	b.StopTimer()
+	var c workCounter
+	if err := op(c.injector()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(c.evals.Load()), "delay-solves/op")
+	b.ReportMetric(float64(c.newton.Load()), "newton-iters/op")
+	b.ReportMetric(float64(c.nm.Load()), "nm-runs/op")
+}
+
+// benchProblem is the core problem behind the facade's Optimize(t, l, f).
+func benchProblem(t Technology, l, f float64, inj *diag.Injector) core.Problem {
+	return core.Problem{Device: DeviceOf(t), Line: LineOf(t, l), F: f, Injector: inj}
+}
 
 // benchSweepLs is a compact version of the paper's 0-5 nH/mm range.
 var benchSweepLs = []float64{0.5e-6, 2e-6, 4.5e-6}
@@ -250,7 +291,8 @@ func BenchmarkFig12(b *testing.B) {
 }
 
 // BenchmarkDelaySolve measures the Eq. (3) numerical delay solve — the
-// kernel the paper reports as converging in <4 Newton iterations.
+// kernel the paper reports as converging in <4 Newton iterations. Its
+// newton-iters/op are the delay solve's own Newton iterations.
 func BenchmarkDelaySolve(b *testing.B) {
 	b.ReportAllocs()
 	st := StageOf(Tech100(), 2e-6, 11.1*MM, 528)
@@ -259,11 +301,15 @@ func BenchmarkDelaySolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	var res pade.DelayResult
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Delay(0.5); err != nil {
+		if res, err = m.Delay(0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(1, "delay-solves/op")
+	b.ReportMetric(float64(res.Iterations), "newton-iters/op")
+	b.ReportMetric(0, "nm-runs/op")
 }
 
 // BenchmarkOptimize measures one full repeater-insertion optimization — the
@@ -275,28 +321,39 @@ func BenchmarkOptimize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportWork(b, func(inj *diag.Injector) error {
+		_, err := core.Optimize(benchProblem(Tech100(), 2e-6, 0.5, inj))
+		return err
+	})
 }
 
 // BenchmarkSweepCold measures the batched engine's cold path on one node —
 // bit-identical to the serial reference sweep, every point a full ladder.
+// Its work counts cover the grid points (the per-node l = 0 reference solve
+// runs without the injector).
 func BenchmarkSweepCold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SweepBatch(context.Background(), SweepOptions{}, Tech100(), benchSweepLs, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSweepRow(b, SweepOptions{})
 }
 
 // BenchmarkSweepWarm measures the same sweep with warm-start continuation —
 // the per-point speedup the figure benches inherit.
 func BenchmarkSweepWarm(b *testing.B) {
+	benchSweepRow(b, SweepOptions{Warm: true})
+}
+
+func benchSweepRow(b *testing.B, opts SweepOptions) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepBatch(context.Background(), SweepOptions{Warm: true}, Tech100(), benchSweepLs, 0.5); err != nil {
+		if _, err := SweepBatch(context.Background(), opts, Tech100(), benchSweepLs, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportWork(b, func(inj *diag.Injector) error {
+		o := opts
+		o.Injector = inj
+		_, err := SweepBatch(context.Background(), o, Tech100(), benchSweepLs, 0.5)
+		return err
+	})
 }
 
 // BenchmarkExtractBEM measures the 2-D BEM capacitance extraction of the

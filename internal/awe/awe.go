@@ -178,8 +178,9 @@ func (f Fit) Step(t float64) float64 {
 }
 
 // Delay returns the first time the step response crosses fraction fr of the
-// DC gain, using scan + Brent (no Newton: the high-order response's
-// derivative is cheap but the scan already brackets the first crossing).
+// DC gain, using a sampling scan + Brent (no Newton: the high-order
+// response's derivative is cheap but the scan already brackets the first
+// crossing).
 func (f Fit) Delay(fr float64) (float64, error) {
 	if fr <= 0 || fr >= 1 {
 		return 0, fmt.Errorf("awe: Delay fraction %g outside (0,1)", fr)
@@ -198,8 +199,7 @@ func (f Fit) Delay(fr float64) (float64, error) {
 	}
 	tmax := 4 / slow
 	for try := 0; ; try++ {
-		lo, hi, err := num.FirstCrossing(g, 0, tmax, 1024)
-		if err == nil {
+		if lo, hi, ok := firstSignChange(g, tmax, 1024); ok {
 			return num.Brent(g, lo, hi, 1e-16*tmax, 200)
 		}
 		if try == 20 {
@@ -207,6 +207,23 @@ func (f Fit) Delay(fr float64) (float64, error) {
 		}
 		tmax *= 4
 	}
+}
+
+// firstSignChange samples g at n+1 evenly spaced points of [0, tmax] and
+// returns the first subinterval over which it changes sign. An order-q fit
+// may carry zeros, so unlike the two-pole model its step response has no
+// closed-form monotone bracket and the first crossing must be searched for.
+func firstSignChange(g func(float64) float64, tmax float64, n int) (lo, hi float64, ok bool) {
+	prevT, prevG := 0.0, g(0)
+	for i := 1; i <= n; i++ {
+		t := tmax * float64(i) / float64(n)
+		gt := g(t)
+		if gt == 0 || math.Signbit(gt) != math.Signbit(prevG) {
+			return prevT, t, true
+		}
+		prevT, prevG = t, gt
+	}
+	return 0, 0, false
 }
 
 func cpow(z complex128, n int) complex128 {

@@ -34,7 +34,7 @@ type SweepOptions struct {
 	// Any doubt falls back to the exact cold ladder. Warm results agree
 	// with cold ones to ≤1e-12 relative on the optimized per-unit delay
 	// (the objective); the optimizer arguments h, k and the derived ratios
-	// agree only to the stationarity tolerance (~1e-6 relative) and are not
+	// agree only to the stationarity tolerance (~1e-8 relative) and are not
 	// bit-identical. Leave false for exact reproduction of the serial
 	// reference path.
 	Warm bool

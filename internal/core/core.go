@@ -1,12 +1,14 @@
 // Package core implements the paper's primary contribution: repeater
 // insertion for distributed RLC interconnects by direct minimization of the
 // delay per unit length τ/h over segment length h and repeater size k
-// (Section 2.2). The primary path solves the stationarity system
-// (g1, g2) = 0 of Eqs. (7)–(8) with Newton's method, using the analytic
-// derivatives of the two-pole coefficients and poles with respect to h and
-// k; a Nelder–Mead fallback on (log h, log k) handles the near-critically-
-// damped region where the pole derivatives are singular, and the two paths
-// cross-check each other.
+// (Section 2.2). The primary path solves the stationarity system of
+// Eqs. (7)–(8) with Newton's method, using the analytic derivatives of the
+// two-pole coefficients and poles with respect to h and k for both the
+// residuals and their Jacobian. A Newton optimum that passes a local
+// optimality certificate (vanishing gradient, positive-definite Hessian of
+// τ/h, interior point) is returned as is; otherwise a Nelder–Mead
+// minimization on (log h, log k), immune to the critical-damping region
+// where the pole derivatives are singular, runs and the better point wins.
 package core
 
 import (
@@ -16,6 +18,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"rlcint/internal/baseline"
 	"rlcint/internal/diag"
 	"rlcint/internal/num"
 	"rlcint/internal/pade"
@@ -182,47 +185,12 @@ func (p Problem) poleDerivs(h, k float64) (s1, s2, ds1h, ds1k, ds2h, ds2k comple
 	return
 }
 
-// stationarity evaluates the paper's g1 and g2 (Eqs. (7) and (8)) at (h, k):
-// the conditions ∂(τ/h)/∂h = 0 and ∂(τ/h)/∂k = 0 with the delay-equation
-// constraint eliminated.
-//
-// Eq. (3) multiplied by (s2−s1) is real for real poles but purely imaginary
-// for a conjugate pair (it has the form z − z̄), and the same holds for its
-// parameter derivatives g1 and g2. The meaningful signed residual is
-// therefore the real part in the overdamped regime and the imaginary part in
-// the underdamped one; poleDerivs already excludes the critical band between
-// them.
-func (p Problem) stationarity(h, k float64) (g1, g2 float64, err error) {
-	s1, s2, ds1h, ds1k, ds2h, ds2k, err := p.poleDerivs(h, k)
-	if err != nil {
-		return 0, 0, err
-	}
-	_, dres, err := p.Eval(h, k)
-	if err != nil {
-		return 0, 0, err
-	}
-	tau := complex(dres.Tau, 0)
-	f := p.threshold()
-	e1 := cmplx.Exp(s1 * tau)
-	e2 := cmplx.Exp(s2 * tau)
-	onemf := complex(1-f, 0)
-	ch := complex(h, 0)
-
-	cg1 := onemf*(ds2h-ds1h) - ds2h*e1 + ds1h*e2 -
-		s2*tau*(ds1h+s1/ch)*e1 + s1*tau*(ds2h+s2/ch)*e2
-	cg2 := onemf*(ds2k-ds1k) - ds2k*e1 - s2*tau*ds1k*e1 +
-		ds1k*e2 + s1*tau*ds2k*e2
-	if imag(s1) != 0 {
-		return imag(cg1), imag(cg2), nil
-	}
-	return real(cg1), real(cg2), nil
-}
-
 // Optimize minimizes τ/h over (h, k). It runs the paper's Newton solve on
-// (g1, g2) from the RC optimum, verifies the result, and falls back to (or
-// cross-checks against) direct Nelder–Mead minimization; the better feasible
-// point wins. Scale invariance is handled by normalizing h and k to their RC
-// optima inside the solver.
+// (g1, g2) from the closed-form Ismail–Friedman sizing and returns its
+// optimum when that passes the local optimality certificate; otherwise it
+// falls back to direct Nelder–Mead minimization and the better feasible
+// point wins. Scale invariance is handled by normalizing h and k to their
+// RC optima inside the solver.
 func Optimize(p Problem) (Optimum, error) {
 	return OptimizeCtx(context.Background(), p)
 }
@@ -247,7 +215,6 @@ func OptimizeWS(ctx context.Context, p Problem, ws *Workspace) (Optimum, error) 
 // re-allocate them.
 var (
 	lowerHK        = []float64{1e-3, 1e-3}
-	coldStart      = [2]float64{1, 1}
 	nmStart        = [2]float64{0, 0}
 	newtonRestarts = [4][2]float64{{1.25, 0.8}, {0.8, 1.25}, {1.6, 1.6}, {0.6, 0.6}}
 )
@@ -255,11 +222,12 @@ var (
 // OptimizeSeeded is OptimizeCtx with warm-start continuation: when seed is
 // valid (taken from a neighboring problem's converged Optimum via AsSeed), a
 // leading ladder rung runs the stationarity Newton from the seeded point —
-// with the Padé threshold solves seeded from the neighbor's delay — and, on
-// clean convergence, skips the cold start, the multi-starts, and the
-// Nelder–Mead cross-check entirely. If the warm rung diverges or is
-// infeasible, or converges to a per-unit delay outside the ±50% continuation
-// band around the seed's, the warm candidate and the warm delay hints are
+// with the Padé threshold solves seeded from the neighbor's delay — and,
+// when its optimum passes the local optimality certificate, skips the cold
+// start, the multi-starts, and the Nelder–Mead fallback entirely. If the
+// warm rung diverges, is infeasible or uncertified, or converges to a
+// per-unit delay outside the ±50% continuation band around the seed's, the
+// warm candidate and the warm delay hints are
 // discarded and the full cold ladder runs unchanged, so the recovery
 // semantics (and diag.Report rungs) of OptimizeCtx are preserved; the warm
 // rung records as "warm-start" with fault-injection site Step = -2.
@@ -267,9 +235,9 @@ var (
 // Agreement contract: warm and cold land on the same stationary point to
 // within the stationarity tolerance, so the optimized per-unit delay (the
 // objective, quadratically flat at the optimum) agrees to ≤1e-12 relative;
-// the arguments h, k (and τ, which scales with h) agree only to ~1e-6
-// relative — the cold ladder's own ≤1e-7-normalized-residual looseness — and
-// are not bit-identical.
+// the arguments h, k (and τ, which scales with h) agree to ~1e-8 relative —
+// the ≤1e-10 normalized residual of both Newton solves — and are not
+// bit-identical.
 //
 // ws may be nil (allocate per call). seed may be the zero Seed (pure cold
 // start, bit-identical to OptimizeCtx).
@@ -296,47 +264,105 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 	}
 	rep := p.Report
 
-	// The paper's Newton on (g1, g2), variables normalized by the RC
-	// optimum so the Jacobian is well-scaled. start indexes the ladder rung
-	// for fault-injection sites.
+	// The paper's Newton on Eqs. (7)–(8) (see local.residuals), variables
+	// normalized by the RC optimum so the Jacobian is well-scaled. start
+	// indexes the ladder rung for fault-injection sites. Each evaluation
+	// keeps its local model in last, so the analytic Jacobian (asked for at
+	// the point just evaluated) and the certificate reuse its delay solve.
+	var last local
+	var lastX [2]float64
+	localNorm := func(x []float64) (*local, error) {
+		if x[0] == lastX[0] && x[1] == lastX[1] && last.h > 0 {
+			return &last, nil
+		}
+		l, err := p.localAt(rc.Denormalize(x[0], x[1]))
+		if err != nil {
+			return nil, err
+		}
+		last, lastX = l, [2]float64{x[0], x[1]}
+		return &last, nil
+	}
+	// The residuals have units of 1/h and 1/k, and x is normalized by the
+	// same (rc.H, rc.K): both scale by rcHK, so Tol is dimensionless.
+	rcHK := [2]float64{rc.H, rc.K}
 	sysAt := func(start int) num.VecFunc {
 		return func(x, out []float64) error {
 			if err := p.Injector.At(diag.Site{Op: "core.stationarity", Step: start}); err != nil {
 				return err
 			}
-			g1, g2, err := p.stationarity(rc.Denormalize(x[0], x[1]))
+			last.h = 0 // a failed evaluation must not leave a stale cache
+			l, err := localNorm(x)
 			if err != nil {
 				return err
 			}
-			// Scale the residuals: g has units of ds/dh ~ 1/(s·m); normalize by
-			// characteristic magnitudes so Tol is meaningful.
-			out[0] = g1 * rc.H * rc.Tau
-			out[1] = g2 * rc.K * rc.Tau
+			r1, r2 := l.residuals()
+			out[0] = r1 * rcHK[0]
+			out[1] = r2 * rcHK[1]
 			return nil
 		}
 	}
+	// jacAt is the analytic Jacobian of sysAt(start); one call per Newton
+	// step, so its fault site also counts Newton steps.
+	jacAt := func(start int) func(x, out []float64) error {
+		return func(x, out []float64) error {
+			if err := p.Injector.At(diag.Site{Op: "core.jacobian", Step: start}); err != nil {
+				return err
+			}
+			l, err := localNorm(x)
+			if err != nil {
+				return err
+			}
+			j, _ := p.secondOrder(l)
+			for r := 0; r < 2; r++ {
+				for c := 0; c < 2; c++ {
+					out[2*r+c] = j[r][c] * rcHK[r] * rcHK[c]
+				}
+			}
+			return nil
+		}
+	}
+	// certified reports whether a converged Newton iterate x is a strict
+	// local minimum of τ/h strictly inside the search box: the log-space
+	// gradient of τ/h vanishes to certGradTol and its Hessian in
+	// (log h, log k) is positive definite. Such a candidate needs no
+	// Nelder–Mead fallback. Checking the gradient of τ/h itself, not
+	// only the Newton residual, rejects iterates that ran off towards
+	// k → ∞, where the scaled residual decays without τ/h being stationary.
+	certified := func(x []float64) bool {
+		if !(x[0] > lowerHK[0] && x[1] > lowerHK[1]) {
+			return false
+		}
+		l, err := localNorm(x)
+		return err == nil && p.certify(l)
+	}
 	// tryNewton runs one Newton start and admits its iterate as a candidate
-	// when feasible — even when the line search stalled on the finite-
-	// difference noise floor, where the final iterate is usually at the
-	// optimum; the objective comparison decides. It reports whether a
-	// candidate was admitted.
-	tryNewton := func(start int, rung string, x0 []float64, opts num.NewtonNDOptions) (bool, error) {
+	// when feasible — even when the line search stalled, where the final
+	// iterate is usually at the optimum; the objective comparison decides.
+	// It reports whether a candidate was admitted and whether that
+	// candidate converged and passed the local optimality certificate.
+	tryNewton := func(start int, rung string, x0 []float64, opts num.NewtonNDOptions) (bool, bool, error) {
+		opts.Jac = jacAt(start)
 		nres, nerr := num.NewtonND(sysAt(start), x0, opts)
 		if len(nres.X) == 2 && nres.X[0] > 0 && nres.X[1] > 0 {
 			h, k := rc.Denormalize(nres.X[0], nres.X[1])
 			if pu := p.PerUnitDelay(h, k); !math.IsInf(pu, 1) {
 				cands = append(cands, cand{h, k, pu, MethodNewton, nres.Iterations})
+				cert := nerr == nil && certified(nres.X)
 				if rep != nil {
-					rep.Record("opt-newton", rung, diag.OutcomeOK, fmt.Sprintf("h=%g k=%g", h, k), nerr)
+					detail := fmt.Sprintf("h=%g k=%g", h, k)
+					if cert {
+						detail += " certified"
+					}
+					rep.Record("opt-newton", rung, diag.OutcomeOK, detail, nerr)
 				}
-				return true, nerr
+				return true, cert, nerr
 			}
 		}
 		rep.Record("opt-newton", rung, diag.OutcomeFailed, "", nerr)
-		return false, nerr
+		return false, false, nerr
 	}
 	coldOpts := num.NewtonNDOptions{
-		Tol:     1e-7,
+		Tol:     1e-10,
 		MaxIter: 60,
 		Damping: true,
 		Lower:   lowerHK,
@@ -346,12 +372,12 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 		coldOpts.WS = &ws.newton
 	}
 
-	// Rung 0: warm start from the neighboring solution. On clean convergence
-	// to a per-unit delay plausibly continuous with the neighbor's, the
-	// remaining rungs (including the Nelder–Mead cross-check) are skipped —
-	// this is the continuation fast path of batched sweeps. Any doubt
-	// (divergence, line-search stall, or a per-unit delay jumping outside
-	// the continuation band, which would indicate convergence to a
+	// Rung 0: warm start from the neighboring solution. On a certified
+	// optimum with a per-unit delay plausibly continuous with the
+	// neighbor's, the remaining rungs are skipped — this is the
+	// continuation fast path of batched sweeps. Any doubt (divergence,
+	// line-search stall, a failed certificate, or a per-unit delay jumping
+	// outside the continuation band, which would indicate convergence to a
 	// different stationary point) discards the warm candidate and the warm
 	// delay hints, so the fallback runs the cold ladder exactly.
 	var nerr, nmErr error
@@ -359,11 +385,11 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 	if seed.Valid() {
 		var x0 [2]float64
 		x0[0], x0[1] = rc.Normalize(seed.H, seed.K)
-		ok, werr := tryNewton(-2, "warm-start", x0[:], coldOpts)
+		_, cert, werr := tryNewton(-2, "warm-start", x0[:], coldOpts)
 		if runctl.IsStop(werr) {
 			return Optimum{}, werr
 		}
-		warmed = ok && werr == nil
+		warmed = cert
 		if warmed && seed.Tau > 0 {
 			puSeed := seed.Tau / seed.H
 			pu := cands[len(cands)-1].pu
@@ -382,9 +408,18 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 	}
 
 	if !warmed {
-		// Rung 1: Newton cold start from the RC optimum.
-		var coldOK bool
-		coldOK, nerr = tryNewton(0, "cold-start", coldStart[:], coldOpts)
+		// Rung 1: Newton cold start from the closed-form inductance-aware
+		// sizing of Ismail and Friedman (the RC optimum at l = 0). From the
+		// RC optimum itself, Newton runs off towards k → ∞ once the line is
+		// strongly inductive (100 nm beyond ~1.5 nH/mm).
+		ifo, err := baseline.IFOptimal(p.Device, p.Line)
+		if err != nil {
+			return Optimum{}, err
+		}
+		var x0 [2]float64
+		x0[0], x0[1] = rc.Normalize(ifo.H, ifo.K)
+		var coldOK, cert bool
+		coldOK, cert, nerr = tryNewton(0, "cold-start", x0[:], coldOpts)
 		if runctl.IsStop(nerr) {
 			return Optimum{}, nerr
 		}
@@ -394,19 +429,23 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 		// free fallback. Only runs when the cold start yielded no candidate.
 		if !coldOK {
 			for i, x0 := range newtonRestarts {
-				ok, err := tryNewton(i+1, fmt.Sprintf("multi-start(%g,%g)", x0[0], x0[1]), x0[:], coldOpts)
+				ok, c, err := tryNewton(i+1, fmt.Sprintf("multi-start(%g,%g)", x0[0], x0[1]), x0[:], coldOpts)
 				if runctl.IsStop(err) {
 					return Optimum{}, err
 				}
 				if ok {
-					nerr = err
+					nerr, cert = err, c
 					break
 				}
 			}
 		}
+		if cert {
+			return p.finish(cands)
+		}
 
 		// Rung 3: direct Nelder–Mead minimization on (log h, log k); immune to
 		// the critical-damping singularity and to saddle points of (g1, g2).
+		// It runs only when no Newton candidate holds the certificate.
 		obj := func(x []float64) float64 {
 			return p.PerUnitDelay(rc.H*math.Exp(x[0]), rc.K*math.Exp(x[1]))
 		}
@@ -417,7 +456,9 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 			nmOpts.WS = &ws.nm
 		}
 		var xnm []float64
-		xnm, _, nmErr = num.NelderMead(obj, nmStart[:], nmOpts)
+		if nmErr = p.Injector.At(diag.Site{Op: "core.nelder-mead"}); nmErr == nil {
+			xnm, _, nmErr = num.NelderMead(obj, nmStart[:], nmOpts)
+		}
 		if runctl.IsStop(nmErr) {
 			return Optimum{}, nmErr
 		}
@@ -435,7 +476,8 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 			// restores quadratic convergence when the cold start wandered into
 			// a flat region of (g1, g2).
 			polishOpts := num.NewtonNDOptions{
-				Tol: 1e-9, MaxIter: 20, Damping: true, Lower: lowerHK, Ctl: p.ctl,
+				Tol: 1e-9, MaxIter: 20, Damping: true, Lower: lowerHK,
+				Jac: jacAt(-1), Ctl: p.ctl,
 			}
 			if ws != nil {
 				polishOpts.WS = &ws.newton
@@ -467,6 +509,13 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 		de.Err = fmt.Errorf("%w: newton: %v; nelder-mead: %v", ErrOptimize, nerr, nmErr)
 		return Optimum{}, de
 	}
+	return p.finish(cands)
+}
+
+// finish picks the best candidate and re-evaluates the model and delay
+// there. A failed final evaluation keeps its diag kind (and still matches
+// ErrOptimize), so a non-convergence is not reported as an internal error.
+func (p Problem) finish(cands []cand) (Optimum, error) {
 	best := cands[0]
 	for _, c := range cands[1:] {
 		// Prefer the Newton (paper) path unless it is measurably worse.
@@ -476,7 +525,7 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 	}
 	m, d, err := p.Eval(best.h, best.k)
 	if err != nil {
-		return Optimum{}, fmt.Errorf("%w: final evaluation: %v", ErrOptimize, err)
+		return Optimum{}, fmt.Errorf("%w: final evaluation: %w", ErrOptimize, err)
 	}
 	return Optimum{
 		H: best.h, K: best.k,

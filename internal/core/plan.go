@@ -86,7 +86,11 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 		}
 	}
 	if math.IsInf(best.Total, 1) {
-		return LinePlan{}, fmt.Errorf("core: PlanLine found no feasible stage count for L=%g", L)
+		// Every candidate's refinement or delay evaluation failed: the
+		// solver did not converge on any realizable plan.
+		de := diag.New(diag.ErrNonConvergence, "core.PlanLine")
+		de.Detail = fmt.Sprintf("no feasible stage count for L=%g", L)
+		return LinePlan{}, de
 	}
 	return best, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -158,5 +159,67 @@ func TestOptimizeRejectsNaNInputs(t *testing.T) {
 				t.Errorf("Optimize = %v, want ErrDomain match", err)
 			}
 		})
+	}
+}
+
+// countingInjector counts core.eval consultations and fails every one from
+// the failFrom-th on (1-based; 0 never fails) with err.
+func countingInjector(n *int, failFrom int, err error) *diag.Injector {
+	return &diag.Injector{Fault: func(s diag.Site) error {
+		if s.Op != "core.eval" {
+			return nil
+		}
+		*n++
+		if failFrom > 0 && *n >= failFrom {
+			return err
+		}
+		return nil
+	}}
+}
+
+// TestOptimizeFinalEvalKeepsKind: a failure of the final evaluation at the
+// chosen optimum keeps its diag kind, so a non-convergence there is not
+// reported as an untyped (internal) error.
+func TestOptimizeFinalEvalKeepsKind(t *testing.T) {
+	var total int
+	p := testProblem()
+	p.Injector = countingInjector(&total, 0, nil)
+	if _, err := Optimize(p); err != nil {
+		t.Fatal(err)
+	}
+	// The final evaluation is the last core.eval of the run.
+	var n int
+	p.Injector = countingInjector(&n, total, diag.New(diag.ErrNonConvergence, "test"))
+	_, err := Optimize(p)
+	if err == nil {
+		t.Fatal("Optimize succeeded with its final evaluation faulted")
+	}
+	if !errors.Is(err, diag.ErrNonConvergence) {
+		t.Errorf("error %v does not match diag.ErrNonConvergence", err)
+	}
+	if !errors.Is(err, ErrOptimize) {
+		t.Errorf("error %v does not match core.ErrOptimize", err)
+	}
+}
+
+// TestPlanLineNoFeasibleStageCountIsTyped: when every candidate stage
+// count's evaluation fails, PlanLine reports a non-convergence, not an
+// untyped error.
+func TestPlanLineNoFeasibleStageCountIsTyped(t *testing.T) {
+	var total int
+	p := testProblem()
+	p.Injector = countingInjector(&total, 0, nil)
+	if _, err := OptimizeWS(context.Background(), p, NewWorkspace()); err != nil {
+		t.Fatal(err)
+	}
+	// Let the continuous optimization finish, then fail every refinement.
+	var n int
+	p.Injector = countingInjector(&n, total+1, errors.New("injected evaluation failure"))
+	_, err := PlanLine(p, 20e-3)
+	if err == nil {
+		t.Fatal("PlanLine succeeded with every refinement faulted")
+	}
+	if !errors.Is(err, diag.ErrNonConvergence) {
+		t.Errorf("error %v does not match diag.ErrNonConvergence", err)
 	}
 }

@@ -31,6 +31,11 @@ type NewtonNDOptions struct {
 	// Lower, when non-nil, gives per-component lower bounds enforced by
 	// clipping trial points (used to keep h, k positive).
 	Lower []float64
+	// Jac, when non-nil, writes the analytic Jacobian of f at x into jac
+	// (row-major n×n) in place of forward differences. NewtonND calls it at
+	// the point f was last evaluated at, so an implementation may reuse
+	// work cached by that call.
+	Jac func(x, jac []float64) error
 	// Ctl, when non-nil, is consulted at every Newton iteration; a stop
 	// (cancellation, deadline, iteration budget) aborts the solve with the
 	// typed run-control error.
@@ -105,8 +110,9 @@ func (o *NewtonNDOptions) defaults() {
 	}
 }
 
-// NewtonND solves f(x) = 0 with Newton's method using a forward-difference
-// Jacobian and a residual-reducing backtracking line search. The Jacobian
+// NewtonND solves f(x) = 0 with Newton's method using the analytic Jacobian
+// opts.Jac (forward differences when nil) and a residual-reducing
+// backtracking line search. The Jacobian
 // system is solved with dense Gaussian elimination with partial pivoting
 // (systems here are 2x2 or 3x3).
 func NewtonND(f VecFunc, x0 []float64, opts NewtonNDOptions) (NewtonNDResult, error) {
@@ -162,8 +168,13 @@ func NewtonND(f VecFunc, x0 []float64, opts NewtonNDOptions) (NewtonNDResult, er
 		if r < opts.Tol {
 			return res, nil
 		}
+		if opts.Jac != nil {
+			if err := opts.Jac(x, jac); err != nil {
+				return res, fmt.Errorf("num: NewtonND Jacobian eval: %w", err)
+			}
+		}
 		// Forward-difference Jacobian column by column.
-		for j := 0; j < n; j++ {
+		for j := 0; j < n && opts.Jac == nil; j++ {
 			hstep := fdScale(x[j], opts.FDScale)
 			copy(xt, x)
 			xt[j] += hstep

@@ -1,6 +1,7 @@
 package num
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -19,6 +20,46 @@ func TestNewtonND2x2(t *testing.T) {
 	x, y := res.X[0], res.X[1]
 	if math.Abs(x*x+y*y-4) > 1e-8 || math.Abs(x*y-1) > 1e-8 {
 		t.Errorf("residuals too large at (%v,%v)", x, y)
+	}
+}
+
+// TestNewtonNDAnalyticJacobian: with opts.Jac the solve reaches the same
+// root as with forward differences, never evaluates f for differencing, and
+// surfaces a failing Jacobian as an error.
+func TestNewtonNDAnalyticJacobian(t *testing.T) {
+	evals := 0
+	f := func(x, out []float64) error {
+		evals++
+		out[0] = x[0]*x[0] + x[1]*x[1] - 4
+		out[1] = x[0]*x[1] - 1
+		return nil
+	}
+	jac := func(x, j []float64) error {
+		j[0], j[1] = 2*x[0], 2*x[1]
+		j[2], j[3] = x[1], x[0]
+		return nil
+	}
+	fd, err := NewtonND(f, []float64{2, 0.3}, NewtonNDOptions{Damping: true, Tol: 1e-13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdX := append([]float64(nil), fd.X...)
+	evals = 0
+	an, err := NewtonND(f, []float64{2, 0.3}, NewtonNDOptions{Damping: true, Tol: 1e-13, Jac: jac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(an.X[0]-fdX[0]) > 1e-12 || math.Abs(an.X[1]-fdX[1]) > 1e-12 {
+		t.Errorf("analytic-Jacobian root %v, forward-difference root %v", an.X, fdX)
+	}
+	// One evaluation at x0 plus one accepted trial per Newton step.
+	if evals != an.Iterations {
+		t.Errorf("%d f evaluations over %d iterations: Jacobian was differenced", evals, an.Iterations)
+	}
+	bad := errors.New("jacobian failed")
+	_, err = NewtonND(f, []float64{2, 0.3}, NewtonNDOptions{Jac: func(x, j []float64) error { return bad }})
+	if !errors.Is(err, bad) {
+		t.Errorf("failing Jacobian: error %v", err)
 	}
 }
 

@@ -94,6 +94,12 @@ func Newton1DS[S any](f, df func(S, float64) float64, s S, a, b, x0, tol float64
 		} else {
 			xn = math.NaN()
 		}
+		if math.Abs(xn-x) < tol {
+			// A Newton step below tol has converged, even when rounding
+			// leaves it on the bracket end x just became.
+			res.Root = xn
+			return res, nil
+		}
 		if math.IsNaN(xn) || xn <= a || xn >= b {
 			// Newton step rejected: bisect.
 			xn = 0.5 * (a + b)
@@ -236,52 +242,4 @@ func BracketOut(f func(float64) float64, a, b float64, maxExpand int) (float64, 
 		}
 	}
 	return a, b, fmt.Errorf("%w: BracketOut", ErrBadBracket)
-}
-
-// FirstCrossing scans [t0, t1] with n samples for the first sign change of f
-// and returns a bracketing subinterval. It is used to locate the *first*
-// threshold crossing of oscillatory step responses, where plain Newton could
-// converge to a later crossing.
-func FirstCrossing(f func(float64) float64, t0, t1 float64, n int) (float64, float64, error) {
-	return FirstCrossingS(callFn1, fn1{f: f}, t0, t1, n)
-}
-
-// FirstCrossingS is FirstCrossing over a state-carrying function, for
-// closure-free hot paths. The algorithm is identical to FirstCrossing
-// (which delegates here).
-func FirstCrossingS[S any](f func(S, float64) float64, s S, t0, t1 float64, n int) (float64, float64, error) {
-	lo, hi, ok := CrossingScanS(f, s, t0, t1, n)
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: no crossing in [%g,%g]", ErrBadBracket, t0, t1)
-	}
-	return lo, hi, nil
-}
-
-// CrossingScanS is FirstCrossingS with a boolean verdict instead of an
-// error: ok reports whether a sign change was found. It exists for probes
-// where "no crossing" is an expected, frequent outcome (e.g. the seeded
-// delay solve's first-crossing guard) and allocating an error per call would
-// put garbage on a zero-alloc path.
-func CrossingScanS[S any](f func(S, float64) float64, s S, t0, t1 float64, n int) (lo, hi float64, ok bool) {
-	if n < 2 {
-		n = 2
-	}
-	prevT := t0
-	prevF := f(s, t0)
-	if prevF == 0 {
-		return t0, t0, true
-	}
-	dt := (t1 - t0) / float64(n)
-	for i := 1; i <= n; i++ {
-		t := t0 + float64(i)*dt
-		ft := f(s, t)
-		if ft == 0 {
-			return t, t, true
-		}
-		if math.Signbit(ft) != math.Signbit(prevF) {
-			return prevT, t, true
-		}
-		prevT, prevF = t, ft
-	}
-	return 0, 0, false
 }

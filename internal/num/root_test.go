@@ -109,30 +109,6 @@ func TestBracketOut(t *testing.T) {
 	}
 }
 
-func TestFirstCrossingFindsFirst(t *testing.T) {
-	// sin crosses 0.5 first at pi/6; a naive solver near a later crossing
-	// would find 5pi/6.
-	f := func(x float64) float64 { return math.Sin(x) - 0.5 }
-	a, b, err := FirstCrossing(f, 0, 10, 200)
-	if err != nil {
-		t.Fatalf("FirstCrossing: %v", err)
-	}
-	root, err := Brent(f, a, b, 1e-12, 100)
-	if err != nil {
-		t.Fatalf("Brent: %v", err)
-	}
-	if math.Abs(root-math.Pi/6) > 1e-9 {
-		t.Errorf("first crossing = %v, want pi/6=%v", root, math.Pi/6)
-	}
-}
-
-func TestFirstCrossingNone(t *testing.T) {
-	f := func(x float64) float64 { return 1 + x*x }
-	if _, _, err := FirstCrossing(f, 0, 10, 100); err == nil {
-		t.Error("expected error when no crossing exists")
-	}
-}
-
 func TestBisectBadBracket(t *testing.T) {
 	if _, err := Bisect(func(x float64) float64 { return 1 }, 0, 1, 1e-12, 10); err == nil {
 		t.Error("expected ErrBadBracket")

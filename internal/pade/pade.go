@@ -178,9 +178,9 @@ type DelayResult struct {
 var ErrThreshold = fmt.Errorf("pade: threshold must satisfy 0 <= f < 1: %w", diag.ErrDomain)
 
 // Delay solves the paper's Eq. (3) for the f×100% delay: the first time at
-// which the unit step response reaches f. The root is bracketed by scanning
-// (so that, for underdamped responses, the first crossing rather than a
-// later one is found) and polished with safeguarded Newton.
+// which the unit step response reaches f. The first crossing is bracketed in
+// closed form (see firstCrossingBracket) and polished with safeguarded
+// Newton.
 func (m Model) Delay(f float64) (DelayResult, error) {
 	return m.DelayWith(nil, f)
 }
@@ -196,65 +196,98 @@ type stepState struct {
 func stepResidual(s stepState, t float64) float64 { return s.m.Step(t) - s.f }
 func stepDeriv(s stepState, t float64) float64    { return s.m.StepDeriv(t) }
 
-// DelayWith is Delay consulting ctl (which may be nil) between bracket-
-// growth attempts, so cancelling an optimization aborts even a pathological
-// threshold search promptly.
-func (m Model) DelayWith(ctl *runctl.Controller, f float64) (DelayResult, error) {
+// validThreshold rejects thresholds outside [0, 1).
+func validThreshold(f float64) error {
 	if f < 0 || f >= 1 || math.IsNaN(f) {
-		return DelayResult{}, fmt.Errorf("%w: f=%g", ErrThreshold, f)
+		return fmt.Errorf("%w: f=%g", ErrThreshold, f)
+	}
+	return nil
+}
+
+// halfPeriod returns π/β, the time of the first overshoot peak, for an
+// underdamped model, and +Inf otherwise.
+func (m Model) halfPeriod() float64 {
+	if m.Damping() != Underdamped {
+		return math.Inf(1)
+	}
+	return 2 * math.Pi * m.B2 / math.Sqrt(-m.Discriminant())
+}
+
+// firstCrossingBracket returns [lo, hi] holding the unique first crossing of
+// v(t) = f, 0 < f < 1. The two-pole response has no zeros, so:
+//
+//   - underdamped (poles −α ± jβ): v′(t) ∝ e^(−αt)·sin βt is positive on
+//     (0, π/β) and v(π/β) = 1 + e^(−απ/β) > 1, so v rises strictly from 0
+//     past f on [0, π/β] and the crossing there is the first one;
+//   - otherwise v′ > 0 for all t > 0 and v → 1, so v is strictly monotone
+//     and doubling from b1 reaches a point with v ≥ f in a few steps (v
+//     rounds to exactly 1 once the slow exponential underflows, and f < 1).
+func (m Model) firstCrossingBracket(f float64) (lo, hi float64) {
+	if tp := m.halfPeriod(); !math.IsInf(tp, 1) {
+		return 0, tp
+	}
+	hi = m.B1
+	for m.Step(hi) < f {
+		lo, hi = hi, 2*hi
+	}
+	return lo, hi
+}
+
+// DelayWith is Delay consulting ctl (which may be nil) once before the
+// solve, so cancelling an optimization aborts at its next delay solve.
+func (m Model) DelayWith(ctl *runctl.Controller, f float64) (DelayResult, error) {
+	if err := validThreshold(f); err != nil {
+		return DelayResult{}, err
 	}
 	if f == 0 {
 		return DelayResult{}, nil
 	}
+	if err := ctl.Check("pade.Delay"); err != nil {
+		return DelayResult{}, err
+	}
+	lo, hi := m.firstCrossingBracket(f)
+	// Start from the larger of the single-pole estimate −ln(1−f)·b1 and the
+	// early-time estimate √(2f·b2) (v ≈ t²/(2b2) near t = 0), clamped into
+	// the bracket. Over ζ ∈ [0.05, 20] this takes ≤8 Newton iterations; the
+	// midpoint of [0, π/β] sits where v′ → 0 for high thresholds and costs
+	// tens of safeguarded iterations instead.
+	x0 := math.Max(-math.Log1p(-f)*m.B1, math.Sqrt(2*f*m.B2))
+	x0 = math.Min(math.Max(x0, lo), hi)
+	return m.polish(f, lo, hi, x0)
+}
+
+// polish runs safeguarded Newton on v(t) = f inside a bracket [lo, hi] known
+// to hold the first crossing, falling back to Brent (which cannot fail once
+// a bracket exists, since Step is continuous).
+func (m Model) polish(f, lo, hi, x0 float64) (DelayResult, error) {
 	g := stepState{m: m, f: f}
-	// Characteristic time: the larger of the Elmore time and the natural
-	// period. Grow the scan window until the crossing is inside.
 	tScale := math.Max(m.B1, math.Sqrt(m.B2))
-	tmax := 4 * tScale
-	var lo, hi float64
-	var err error
-	for try := 0; ; try++ {
-		if err := ctl.Check("pade.Delay"); err != nil {
-			return DelayResult{}, err
-		}
-		lo, hi, err = num.FirstCrossingS(stepResidual, g, 0, tmax, 512)
-		if err == nil {
-			break
-		}
-		if try == 24 {
-			return DelayResult{}, fmt.Errorf("pade: Delay(f=%g): no crossing found up to t=%g: %w", f, tmax, err)
-		}
-		tmax *= 4
+	res, err := num.Newton1DS(stepResidual, stepDeriv, g, lo, hi, x0, 1e-14*tScale+1e-30, 60)
+	if err == nil {
+		return DelayResult{Tau: res.Root, Iterations: res.Iterations}, nil
 	}
-	res, err := num.Newton1DS(stepResidual, stepDeriv, g, lo, hi, 0.5*(lo+hi), 1e-14*tScale+1e-30, 60)
-	if err != nil {
-		// Fall back to Brent inside the bracket: Step is continuous, so this
-		// cannot fail once a bracket exists.
-		tau, berr := num.BrentS(stepResidual, g, lo, hi, 1e-16*tScale, 200)
-		if berr != nil {
-			return DelayResult{}, fmt.Errorf("pade: Delay(f=%g): %w", f, berr)
-		}
-		return DelayResult{Tau: tau, Iterations: res.Iterations}, nil
+	tau, berr := num.BrentS(stepResidual, g, lo, hi, 1e-16*tScale, 200)
+	if berr != nil {
+		return DelayResult{}, fmt.Errorf("pade: Delay(f=%g): %w", f, berr)
 	}
-	return DelayResult{Tau: res.Root, Iterations: res.Iterations}, nil
+	return DelayResult{Tau: tau, Iterations: res.Iterations}, nil
 }
 
 // DelaySeeded is DelayWith with a warm-start hint: hint is the converged
 // delay of a neighboring solve (an adjacent grid point of a sweep, or the
-// previous evaluation of an optimization trajectory). When a tight bracket
-// around the hint straddles the threshold crossing — and, for underdamped
-// responses, no earlier crossing exists — the solve skips the 512-sample
-// scan of the cold path and polishes inside the local bracket. On any doubt
-// (bad hint, bracket not confirmed, possible earlier crossing, failed
-// polish) it falls back to DelayWith, so it never returns a different
-// crossing than the cold solve and agrees with it to the solver tolerance
-// (~1e-14 relative).
+// previous evaluation of an optimization trajectory). The local bracket
+// [0.75·hint, hint/0.75] is clamped to π/β for underdamped responses, where
+// v is monotone (see firstCrossingBracket), so a bracket that straddles f
+// holds the first crossing; Newton then starts from the hint. A bracket that
+// does not straddle f (bad hint) falls back to DelayWith, so the seeded
+// solve never returns a different crossing than the cold one and agrees
+// with it to the solver tolerance (~1e-14 relative).
 func (m Model) DelaySeeded(ctl *runctl.Controller, f, hint float64) (DelayResult, error) {
 	if !(hint > 0) || math.IsInf(hint, 1) {
 		return m.DelayWith(ctl, f)
 	}
-	if f < 0 || f >= 1 || math.IsNaN(f) {
-		return DelayResult{}, fmt.Errorf("%w: f=%g", ErrThreshold, f)
+	if err := validThreshold(f); err != nil {
+		return DelayResult{}, err
 	}
 	if f == 0 {
 		return DelayResult{}, nil
@@ -262,24 +295,11 @@ func (m Model) DelaySeeded(ctl *runctl.Controller, f, hint float64) (DelayResult
 	if err := ctl.Check("pade.DelaySeeded"); err != nil {
 		return DelayResult{}, err
 	}
-	g := stepState{m: m, f: f}
-	lo, hi := 0.75*hint, hint/0.75
-	if !(stepResidual(g, lo) < 0 && stepResidual(g, hi) > 0) {
+	lo, hi := 0.75*hint, math.Min(hint/0.75, m.halfPeriod())
+	if !(lo < hi && m.Step(lo) < f && m.Step(hi) > f) {
 		return m.DelayWith(ctl, f)
 	}
-	// For underdamped responses the local bracket could straddle a later
-	// crossing of an oscillatory tail; confirm no crossing precedes it.
-	if m.Damping() == Underdamped {
-		if _, _, crosses := num.CrossingScanS(stepResidual, g, 0, lo, 64); crosses {
-			return m.DelayWith(ctl, f)
-		}
-	}
-	tScale := math.Max(m.B1, math.Sqrt(m.B2))
-	res, err := num.Newton1DS(stepResidual, stepDeriv, g, lo, hi, hint, 1e-14*tScale+1e-30, 60)
-	if err != nil {
-		return m.DelayWith(ctl, f)
-	}
-	return DelayResult{Tau: res.Root, Iterations: res.Iterations}, nil
+	return m.polish(f, lo, hi, hint)
 }
 
 // Overshoot returns the peak of the step response relative to the final

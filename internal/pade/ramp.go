@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"rlcint/internal/diag"
 	"rlcint/internal/num"
 )
 
@@ -65,24 +66,53 @@ func (m Model) DelayRamp(f, tRise float64) (DelayResult, error) {
 	if f <= 0 || f >= 1 {
 		return DelayResult{}, fmt.Errorf("%w: f=%g", ErrThreshold, f)
 	}
+	lo, hi, err := m.rampBracket(f, tRise)
+	if err != nil {
+		return DelayResult{}, err
+	}
 	g := func(t float64) float64 { return m.Ramp(t, tRise) - f }
 	tScale := math.Max(m.B1, math.Sqrt(m.B2)) + tRise
-	tmax := 4 * tScale
-	var lo, hi float64
-	var err error
-	for try := 0; ; try++ {
-		lo, hi, err = num.FirstCrossing(g, 0, tmax, 512)
-		if err == nil {
-			break
-		}
-		if try == 24 {
-			return DelayResult{}, fmt.Errorf("pade: DelayRamp(f=%g, tr=%g): %w", f, tRise, err)
-		}
-		tmax *= 4
-	}
 	root, err := num.Brent(g, lo, hi, 1e-15*tScale, 200)
 	if err != nil {
 		return DelayResult{}, err
 	}
 	return DelayResult{Tau: root - f*tRise}, nil
+}
+
+// maxRampPieces bounds the monotone pieces rampBracket visits.
+const maxRampPieces = 1 << 16
+
+// rampBracket returns [lo, hi] holding the first crossing of the ramp
+// response r(t) = f. Since r′(t) = v(t)/tr > 0 on (0, tr] and
+// r′(t) = (v(t) − v(t−tr))/tr beyond, r is strictly increasing wherever v
+// is, so for real poles doubling from b1 + tr finds the upper end. For
+// poles −α ± jβ,
+//
+//	v(t) − v(t−tr) = e^(−αt)·Re[w·e^(jβt)],  w ∝ (1 − jα/β)(e^(−jβ·tr) − e^(−α·tr)),
+//
+// so past tr the sign of r′ changes only where βt + arg w = π/2 + nπ. r is
+// monotone between those times, and the first piece that ends with r ≥ f
+// holds the first crossing.
+func (m Model) rampBracket(f, tr float64) (lo, hi float64, err error) {
+	var next func() float64
+	if m.Damping() == Underdamped {
+		alpha := m.B1 / (2 * m.B2)
+		beta := math.Sqrt(-m.Discriminant()) / (2 * m.B2)
+		w := complex(1, -alpha/beta) * (cmplx.Exp(complex(0, -beta*tr)) - complex(math.Exp(-alpha*tr), 0))
+		phase := math.Pi/2 - cmplx.Phase(w)
+		n := math.Floor((beta*tr-phase)/math.Pi) + 1
+		next = func() float64 { n++; return (phase + (n-1)*math.Pi) / beta }
+		hi = tr
+	} else {
+		next = func() float64 { return 2 * hi }
+		hi = m.B1 + tr
+	}
+	for i := 0; i < maxRampPieces; i++ {
+		if m.Ramp(hi, tr) >= f {
+			return lo, hi, nil
+		}
+		lo, hi = hi, next()
+	}
+	return 0, 0, fmt.Errorf("pade: DelayRamp(f=%g, tr=%g): no crossing within %d monotone pieces: %w",
+		f, tr, maxRampPieces, diag.ErrNonConvergence)
 }

@@ -65,7 +65,7 @@ type RCOptimum struct {
 // Normalize maps a design point (h, k) into the RC optimum's coordinate
 // frame (h/h_optRC, k/k_optRC) — the dimensionless space the stationarity
 // Newton, its warm-start continuation seeds, and the batched sweep engine
-// all work in (cold start = (1, 1)).
+// all work in (the RC optimum itself is (1, 1)).
 func (o RCOptimum) Normalize(h, k float64) (x, y float64) {
 	return h / o.H, k / o.K
 }

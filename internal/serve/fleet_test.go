@@ -11,9 +11,11 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rlcint/internal/diag"
 	"rlcint/internal/fleet"
 	"rlcint/internal/testutil"
 )
@@ -179,6 +181,7 @@ func TestFleetHopCapUnderTopologyChurn(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 	}
 	srvs := make([]*Server, 2)
+	var peeredUntil atomic.Int64 // churn holds instance 0 peered until then (ns)
 	for i := range srvs {
 		// Self is a name that is NOT this instance's real address, and the
 		// only peer is the other real instance: every key this instance does
@@ -186,6 +189,22 @@ func TestFleetHopCapUnderTopologyChurn(t *testing.T) {
 		// topology that would orbit requests forever without the hop cap.
 		fc := fastFleet("skewed-"+strconv.Itoa(i)+".test:1", []string{addrs[1-i]})
 		fc.MaxHops = 3
+		if i == 1 {
+			// Instance 1 always forwards to instance 0. Hold each of its
+			// forwards until instance 0 is in its skewed (peered) state, and
+			// keep the churn below from leaving that state for 5 ms, so the
+			// loop is exercised however fast the local solves are; otherwise
+			// the whole burst can finish inside one standalone window.
+			fc.Injector = &diag.Injector{Fault: func(s diag.Site) error {
+				if s.Op == "fleet.transport" {
+					for srvs[0].Fleet().Status().Members < 2 {
+						time.Sleep(50 * time.Microsecond)
+					}
+					peeredUntil.Store(time.Now().Add(5 * time.Millisecond).UnixNano())
+				}
+				return nil
+			}}
+		}
 		s := New(Config{Logger: log.New(io.Discard, "", 0), Fleet: fc})
 		ts := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: s.Handler()}}
 		ts.Start()
@@ -207,6 +226,9 @@ func TestFleetHopCapUnderTopologyChurn(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
+				for time.Now().UnixNano() < peeredUntil.Load() {
+					time.Sleep(100 * time.Microsecond)
+				}
 				srvs[0].Fleet().SetPeers(nil) // standalone: everything local
 			} else {
 				srvs[0].Fleet().SetPeers([]string{addrs[1]})

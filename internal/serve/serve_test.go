@@ -339,7 +339,14 @@ func TestMapErrorTaxonomy(t *testing.T) {
 }
 
 func TestDeadlineMapsTo504(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	// Every delay solve is held 5 ms, so not even the first point can
+	// finish inside the 1 ms budget however fast the solver is.
+	_, ts := testServer(t, Config{Injector: &diag.Injector{Fault: func(s diag.Site) error {
+		if s.Op == "core.eval" {
+			time.Sleep(5 * time.Millisecond)
+		}
+		return nil
+	}}})
 	// 200 cold points with a 1 ms budget cannot finish.
 	var ls []string
 	for i := 0; i < 200; i++ {
@@ -354,7 +361,19 @@ func TestDeadlineMapsTo504(t *testing.T) {
 
 func TestQueueFullMapsTo503(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s, ts := testServer(t, Config{MaxInflight: 1, MaxQueue: -1})
+	// Every delay solve blocks until release closes, so the sweep holds the
+	// single slot for as long as the test needs it, not for as long as the
+	// solver happens to take.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	s, ts := testServer(t, Config{MaxInflight: 1, MaxQueue: -1, Injector: &diag.Injector{Fault: func(s diag.Site) error {
+		if s.Op == "core.eval" {
+			<-release
+		}
+		return nil
+	}}})
 	// Park one slow cold sweep in the single slot.
 	slowCtx, cancelSlow := context.WithCancel(context.Background())
 	defer cancelSlow()
@@ -389,6 +408,7 @@ func TestQueueFullMapsTo503(t *testing.T) {
 		t.Errorf("503 body = %s", body)
 	}
 	cancelSlow()
+	unblock()
 	<-slowDone
 	// The cancelled sweep must release its slot promptly — no orphaned
 	// batch workers holding admission capacity.
